@@ -53,8 +53,6 @@ from .noise import (
 )
 from .trotter import (
     TrotterPlan,
-    build_first_order_step,
-    build_second_order_step,
     build_step,
     choose_dt,
     compose_steps,

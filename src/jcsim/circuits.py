@@ -11,7 +11,7 @@ with angles in radians and the ``angle`` key present only on rotation gates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class Circuit:
         return Circuit(self.qubit_count, self.gates + other.gates, label=self.label)
 
 
-def _apply_gate_matrix(state: np.ndarray, gate: Gate) -> np.ndarray:
-    return apply_operator(state, gate_unitary(gate), gate.targets)
-
-
 def run_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     """Apply the circuit gate by gate, never materializing the full unitary."""
     state = np.asarray(initial, dtype=complex)
@@ -59,7 +55,7 @@ def run_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
             f"initial state has dimension {state.shape}, circuit needs {2**circuit.qubit_count}"
         )
     for gate in circuit.gates:
-        state = _apply_gate_matrix(state, gate)
+        state = apply_operator(state, gate_unitary(gate), gate.targets)
     return state
 
 
@@ -67,18 +63,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit: product of embedded gates, first gate rightmost."""
     if circuit.qubit_count > MAX_UNITARY_QUBITS:
         raise ValueError(f"refusing to materialize a unitary on {circuit.qubit_count} qubits")
-    dim = 2**circuit.qubit_count
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(2**circuit.qubit_count, dtype=complex)
     for gate in circuit.gates:
-        # apply the gate to every column at once: columns are a batch axis
-        matrix = gate_unitary(gate)
-        n = circuit.qubit_count
-        k = len(gate.targets)
-        axes = [n - 1 - t for t in gate.targets]
-        tensor = u.reshape([2] * n + [dim])
-        g_t = matrix.reshape([2] * (2 * k))
-        out = np.tensordot(g_t, tensor, axes=(list(range(k, 2 * k)), axes))
-        u = np.moveaxis(out, range(k), axes).reshape(dim, dim)
+        # the columns of u are a batch of states
+        u = apply_operator(u, gate_unitary(gate), gate.targets)
     return u
 
 

@@ -51,9 +51,9 @@ from .trotter import (
     DEFAULT_STEPS,
     build_step,
     choose_dt,
-    compose_steps,
     fit_error_slope,
     prepare_initial_state,
+    step_system_unitary,
     strip_ancilla,
     trotter_error,
     trotter_plan,
@@ -92,6 +92,13 @@ def _write_payload(out: str, fmt: str, metadata: dict, *, trajectory: Trajectory
 
 def _scaled_times(times: np.ndarray, time_unit: str, g: float) -> np.ndarray:
     return times * g if time_unit == "gt" else times
+
+
+def _horizon(t_max: float | None, default: float) -> float:
+    horizon = t_max if t_max is not None else default
+    if not 0 < horizon < math.inf:
+        raise click.ClickException("--t-max must be positive and finite")
+    return horizon
 
 
 def _fail_threshold(message: str) -> None:
@@ -134,15 +141,12 @@ def _build_params(coupling: float, coupling_ef: float | None, omega_f: float | N
     w_e = omega_e if omega_e is not None else w_f
     w_upper = omega_upper if omega_upper is not None else 2.5 * w_f
     g_ef = coupling_ef if coupling_ef is not None else coupling
-    try:
-        return ModelParams(
-            omega_f=w_f,
-            omega_levels={"g": 0.0, "e": w_e, "f": w_upper},
-            g_couplings={"ge": coupling, "ef": g_ef},
-            **extra,
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    return ModelParams(
+        omega_f=w_f,
+        omega_levels={"g": 0.0, "e": w_e, "f": w_upper},
+        g_couplings={"ge": coupling, "ef": g_ef},
+        **extra,
+    )
 
 
 def _params_metadata(p: ModelParams) -> dict:
@@ -179,7 +183,17 @@ def _step_options(f):
     return f
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: ValueError/OSError end as one ``Error:`` line, exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Digitized dynamics of a three-level atom coupled to one field mode."""
@@ -200,9 +214,7 @@ def rabi(photon_n, t_max, points, exact, coupling, coupling_ef, omega_f, omega_e
     """Vacuum Rabi oscillations |e,n> <-> |g,n+1> from the closed form."""
     p = _build_params(coupling, coupling_ef, omega_f, omega_e, omega_upper)
     g = p.g_couplings["ge"]
-    horizon = t_max if t_max is not None else 10.0 / g
-    if horizon <= 0:
-        raise click.ClickException("--t-max must be positive")
+    horizon = _horizon(t_max, 10.0 / g)
     times = np.linspace(0.0, horizon, points)
     amps = np.array([analytic_jc2_amplitudes(g, photon_n, t) for t in times])
     columns = {"P_e": np.abs(amps[:, 0]) ** 2, "P_g": np.abs(amps[:, 1]) ** 2}
@@ -231,7 +243,7 @@ def rabi(photon_n, t_max, points, exact, coupling, coupling_ef, omega_f, omega_e
     if exact:
         metadata["amplitude_crosscheck_max_error"] = worst
     _write_payload(out, fmt, metadata, trajectory=trajectory)
-    if exact and worst > 1e-9:
+    if exact and not (worst <= 1e-9):
         _fail_threshold(f"analytic and exact amplitudes disagree by {worst:.3e} (> 1e-9)")
 
 
@@ -252,14 +264,9 @@ def entropy(nbar, n_max, t_max, points, entropy_unit, coupling, coupling_ef, ome
     """Atomic entanglement entropy under exact evolution, atom starting in e."""
     p = _build_params(coupling, coupling_ef, omega_f, omega_e, omega_upper, nbar=nbar, n_max=n_max)
     g = p.g_couplings["ge"]
-    horizon = t_max if t_max is not None else 10.0 / g
-    if horizon <= 0:
-        raise click.ClickException("--t-max must be positive")
+    horizon = _horizon(t_max, 10.0 / g)
     times = np.linspace(0.0, horizon, points)
-    try:
-        trajectory = entropy_trajectory(p, times)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    trajectory = entropy_trajectory(p, times)
     values = trajectory.columns["entropy_nats"]
     name = "entropy_nats"
     if entropy_unit == "bits":
@@ -295,14 +302,14 @@ def lambda_cmd(omega_p, omega_c, initial, t_max, points, time_unit, out, fmt) ->
         raise click.ClickException(f"cannot parse --initial {initial!r}: {exc}") from exc
     if c0.shape != (3,):
         raise click.ClickException("--initial needs exactly three amplitudes")
+    if not np.all(np.isfinite(c0)):
+        raise click.ClickException("--initial amplitudes must be finite")
     norm = np.linalg.norm(c0)
     if norm == 0:
         raise click.ClickException("--initial must be non-zero")
     c0 = c0 / norm
     fastest = max(omega_p, omega_c, 1e-30)
-    horizon = t_max if t_max is not None else 20.0 * math.pi / fastest
-    if horizon <= 0:
-        raise click.ClickException("--t-max must be positive")
+    horizon = _horizon(t_max, 20.0 * math.pi / fastest)
     p = ModelParams(omega_p=omega_p, omega_c=omega_c)
     times = np.linspace(0.0, horizon, points)
     trajectory = lambda_integrate(p, c0, times)
@@ -366,6 +373,23 @@ def trotter_compare(budgets, coupling, coupling_ef, omega_f, omega_e, omega_uppe
         _fail_threshold("second-order error is not smaller at every grid point")
 
 
+def _compiled_evolution(p: ModelParams, atom: str, fock: int, theta_f: float | None, order: int,
+                        dt: float | None, phase_budget: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Step length, prepared 3-qubit start state and the compiled 8x8 step unitary.
+
+    The prepare circuit runs gate by gate; the step is compiled once, with
+    the ancilla's return to |0> checked for every column, so the evolution
+    is a chain of 8x8 matrix products.
+    """
+    step_dt = dt if dt is not None else choose_dt(p.g_couplings["ge"], phase_budget)
+    if not 0 < step_dt < math.inf:
+        raise click.ClickException("--dt must be positive and finite")
+    prep = prepare_initial_state(atom, fock_n=fock, theta_f=theta_f)
+    start8 = strip_ancilla(run_circuit(prep, basis_state(0, 4)))
+    u8 = step_system_unitary(build_step(p, order, step_dt))
+    return step_dt, start8, u8
+
+
 @main.command(name="populations")
 @click.option("--max-pf", type=float, default=None,
               help="Fail (exit 2) if P_f ever exceeds this threshold.")
@@ -379,32 +403,16 @@ def populations_cmd(max_pf, atom, fock, theta_f, order, dt, phase_budget, steps,
     """Level populations and leakage along the digitized evolution."""
     p = _build_params(coupling, coupling_ef, omega_f, omega_e, omega_upper)
     g = p.g_couplings["ge"]
-    step_dt = dt if dt is not None else choose_dt(g, phase_budget)
-    if step_dt <= 0:
-        raise click.ClickException("--dt must be positive")
-    try:
-        prep = prepare_initial_state(atom, fock_n=fock, theta_f=theta_f)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    step = build_step(p, order, step_dt)
-    state = run_circuit(prep, basis_state(0, 4))
-    times = [0.0]
-    records = [populations(strip_ancilla(state))]
-    leakages = [leakage_probability(strip_ancilla(state))]
-    for k in range(1, steps + 1):
-        state = run_circuit(step, state)
-        system = strip_ancilla(state)
-        times.append(k * step_dt)
-        records.append(populations(system))
-        leakages.append(leakage_probability(system))
-    columns = {
-        "P_g": np.array([r["g"] for r in records]),
-        "P_e": np.array([r["e"] for r in records]),
-        "P_f": np.array([r["f"] for r in records]),
-        "leakage": np.array(leakages),
-    }
+    step_dt, state, u8 = _compiled_evolution(p, atom, fock, theta_f, order, dt, phase_budget)
+    states = [state]
+    for _ in range(steps):
+        states.append(u8 @ states[-1])
+    records = [populations(s) for s in states]
+    columns = {f"P_{level}": np.array([r[level] for r in records]) for level in ("g", "e", "f")}
+    columns["leakage"] = np.array([leakage_probability(s) for s in states])
     plan = trotter_plan(p, order, step_dt, steps)
-    trajectory = Trajectory(times=_scaled_times(np.array(times), time_unit, g), columns=columns)
+    times = step_dt * np.arange(steps + 1)
+    trajectory = Trajectory(times=_scaled_times(times, time_unit, g), columns=columns)
     metadata = {
         "command": "populations", "version": __version__, "params": _params_metadata(p),
         "atom": atom, "fock": fock, "theta_f": theta_f, "time_unit": time_unit,
@@ -418,6 +426,24 @@ def populations_cmd(max_pf, atom, fock, theta_f, order, dt, phase_budget, steps,
         _fail_threshold(f"P_f reaches {columns['P_f'].max():.3e} above --max-pf {max_pf}")
 
 
+def _load_expectations(path: str) -> tuple[float, dict[tuple[str, int], float]]:
+    """Tolerance and expected fidelities keyed (backend, order) of an --expect file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        tolerance = float(data.get("tolerance", 0.003))
+        table = {
+            (backend, int(order_key)): float(expected)
+            for backend, per_order in data.get("fidelity", {}).items()
+            for order_key, expected in per_order.items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed --expect file {path}: {exc}") from exc
+    if not (tolerance >= 0) or not all(math.isfinite(v) for v in table.values()):
+        raise ValueError(f"--expect file {path} needs finite fidelities and a tolerance >= 0")
+    return tolerance, table
+
+
 @main.command()
 @click.option("--calib", "calib_paths", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="Calibration JSON file; repeatable [default: bundled fixtures].")
@@ -427,17 +453,15 @@ def populations_cmd(max_pf, atom, fock, theta_f, order, dt, phase_budget, steps,
 @_output_options
 def fidelity(calib_paths, measured_qubits, expect, out, fmt) -> None:
     """Calibration-based fidelity table for the reference circuit profiles."""
-    try:
-        if calib_paths:
-            calibs = [load_calibration(path) for path in calib_paths]
-        else:
-            calibs = [bundled_calibration(name) for name in bundled_backend_names()]
-        rows = backend_comparison(
-            calibs, {1: hardware_reference_circuit(1), 2: hardware_reference_circuit(2)},
-            measured_qubits=measured_qubits,
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    expectations = _load_expectations(expect) if expect is not None else None
+    if calib_paths:
+        calibs = [load_calibration(path) for path in calib_paths]
+    else:
+        calibs = [bundled_calibration(name) for name in bundled_backend_names()]
+    rows = backend_comparison(
+        calibs, {1: hardware_reference_circuit(1), 2: hardware_reference_circuit(2)},
+        measured_qubits=measured_qubits,
+    )
     metadata = {
         "command": "fidelity", "version": __version__,
         "calibrations": [c.to_json_dict() for c in calibs],
@@ -445,21 +469,18 @@ def fidelity(calib_paths, measured_qubits, expect, out, fmt) -> None:
     }
     _write_payload(out, fmt, metadata, csv_text=comparison_table_csv(rows),
                    json_data=comparison_table_json(rows))
-    if expect is not None:
-        with open(expect, encoding="utf-8") as handle:
-            expectations = json.load(handle)
-        tolerance = float(expectations.get("tolerance", 0.003))
+    if expectations is not None:
+        tolerance, expected_table = expectations
         table = {(row.backend, row.order): row.fidelity for row in rows}
-        for backend, per_order in expectations.get("fidelity", {}).items():
-            for order_key, expected in per_order.items():
-                got = table.get((backend, int(order_key)))
-                if got is None:
-                    raise click.ClickException(f"no computed row for {backend} order {order_key}")
-                if abs(got - float(expected)) > tolerance:
-                    _fail_threshold(
-                        f"{backend} order {order_key}: F={got:.4f} differs from "
-                        f"expected {float(expected):.4f} by more than {tolerance}"
-                    )
+        for (backend, order), expected in expected_table.items():
+            got = table.get((backend, order))
+            if got is None:
+                raise click.ClickException(f"no computed row for {backend} order {order}")
+            if not (abs(got - expected) <= tolerance):
+                _fail_threshold(
+                    f"{backend} order {order}: F={got:.4f} differs from "
+                    f"expected {expected:.4f} by more than {tolerance}"
+                )
 
 
 @main.command()
@@ -475,21 +496,12 @@ def sample(shots, seed, readout_flip, atom, fock, theta_f, order, dt, phase_budg
            coupling, coupling_ef, omega_f, omega_e, omega_upper, out, fmt) -> None:
     """Measurement histogram of the digitized evolution (3 system qubits)."""
     p = _build_params(coupling, coupling_ef, omega_f, omega_e, omega_upper)
-    g = p.g_couplings["ge"]
-    step_dt = dt if dt is not None else choose_dt(g, phase_budget)
-    if step_dt <= 0:
-        raise click.ClickException("--dt must be positive")
+    step_dt, start8, u8 = _compiled_evolution(p, atom, fock, theta_f, order, dt, phase_budget)
     resolved_seed = _resolve_seed(seed)
-    try:
-        prep = prepare_initial_state(atom, fock_n=fock, theta_f=theta_f)
-        circuit = prep.extended(compose_steps(build_step(p, order, step_dt), steps))
-        state = run_circuit(circuit, basis_state(0, 4))
-        system = strip_ancilla(state)
-        histogram = sample_measurements(system, shots, resolved_seed)
-        if readout_flip > 0.0:
-            histogram = apply_readout_error(histogram, readout_flip, resolved_seed + 1)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    system = np.linalg.matrix_power(u8, steps) @ start8
+    histogram = sample_measurements(system, shots, resolved_seed)
+    if readout_flip > 0.0:
+        histogram = apply_readout_error(histogram, readout_flip, resolved_seed + 1)
     plan = trotter_plan(p, order, step_dt, steps)
     metadata = {
         "command": "sample", "version": __version__, "params": _params_metadata(p),

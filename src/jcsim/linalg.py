@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
 
 def basis_state(index: int, qubit_count: int) -> np.ndarray:
     """Computational basis state |index> on `qubit_count` qubits."""
@@ -71,13 +69,17 @@ def _qubit_count_of(dim: int) -> int:
 
 
 def apply_operator(state: np.ndarray, u: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k operator to the `targets` qubits of a pure state.
+    """Apply a 2^k x 2^k operator to the `targets` qubits of a state.
 
+    `state` is a pure state ``(2**n,)`` or a batch ``(2**n, m)`` whose
+    trailing axis is carried along, e.g. the columns of a unitary.
     ``targets[0]`` is the most significant bit of the operator's own index.
     The state is not renormalized; unitary inputs preserve the norm.
     """
     state = np.asarray(state, dtype=complex)
     u = np.asarray(u, dtype=complex)
+    if state.ndim not in (1, 2):
+        raise ValueError(f"expected a state (2**n,) or a batch (2**n, m), got shape {state.shape}")
     n = _qubit_count_of(state.shape[0])
     targets = tuple(targets)
     k = len(targets)
@@ -87,13 +89,15 @@ def apply_operator(state: np.ndarray, u: np.ndarray, targets: tuple[int, ...]) -
         raise ValueError(f"targets {targets} out of range for {n} qubits")
     if u.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {u.shape} does not match {k} targets")
-    # qubit t lives on axis n-1-t of the reshaped state tensor
+    # sublist labels: qubit t is axis n-1-t of the state tensor, label n is
+    # the batch axis, labels n+1.. are the operator's output axes
     axes = [n - 1 - t for t in targets]
-    tensor = state.reshape([2] * n)
-    u_t = u.reshape([2] * (2 * k))
-    out = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, range(k), axes)
-    return out.reshape(-1)
+    new = list(range(n + 1, n + 1 + k))
+    labels = list(range(n)) + [n] * (state.ndim - 1)
+    out_labels = [new[axes.index(a)] if a in axes else a for a in labels]
+    tensor = state.reshape([2] * n + list(state.shape[1:]))
+    out = np.einsum(u.reshape([2] * (2 * k)), new + axes, tensor, labels, out_labels)
+    return out.reshape(state.shape)
 
 
 def _validate_density_matrix(rho: np.ndarray, trace_tol: float, psd_tol: float) -> None:
@@ -133,15 +137,13 @@ def partial_trace_factors(
     if math.prod(dims) != rho.shape[0]:
         raise ValueError(f"dims {dims} do not factor dimension {rho.shape[0]}")
     k = len(dims)
-    if 2 * k > len(_LETTERS):
-        raise ValueError("too many tensor factors")
     keep = sorted(set(int(i) for i in keep))
     if any(i < 0 or i >= k for i in keep):
         raise ValueError(f"keep indices {keep} out of range")
-    row = [_LETTERS[i] for i in range(k)]
-    col = [_LETTERS[k + i] if i in keep else row[i] for i in range(k)]
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), rho.reshape(dims + dims))
+    # sublist labels: factor i has row label i and column label k+i when
+    # kept, i when traced out
+    col = [k + i if i in keep else i for i in range(k)]
+    reduced = np.einsum(rho.reshape(dims + dims), list(range(k)) + col, keep + [k + i for i in keep])
     d_keep = math.prod(dims[i] for i in keep) if keep else 1
     return reduced.reshape(d_keep, d_keep)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import encoding
-from .linalg import hermitian_expm, partial_trace_factors, tensor_product, von_neumann_entropy
+from .linalg import partial_trace_factors, tensor_product, von_neumann_entropy
 
 TAU = 2.0 * math.pi
 

@@ -172,33 +172,23 @@ def _step_with_rows(p: ModelParams, order: int, dt: float) -> tuple[Circuit, tup
     # negative dt is allowed and yields the exact inverse step
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
-    if order == 1:
-        phase_gates, phase_rows = _phase_block(p, dt, scale=1.0)
-        int_gates, int_rows = _interaction_block(p, dt)
-        circuit = Circuit(TOTAL_QUBITS, tuple(phase_gates + int_gates), label="first-order step")
-        return circuit, tuple(phase_rows + int_rows)
-    if order == 2:
-        pre_gates, pre_rows = _phase_block(p, dt, scale=0.5)
-        int_gates, int_rows = _interaction_block(p, dt)
-        post_gates, post_rows = _phase_block(p, dt, scale=0.5, reverse=True)
-        circuit = Circuit(
-            TOTAL_QUBITS, tuple(pre_gates + int_gates + post_gates), label="second-order step"
-        )
-        return circuit, tuple(pre_rows + int_rows + post_rows)
-    raise ValueError("order must be 1 or 2")
-
-
-def build_first_order_step(p: ModelParams, dt: float) -> Circuit:
-    """One first-order step: phase block then interaction block."""
-    return _step_with_rows(p, 1, dt)[0]
-
-
-def build_second_order_step(p: ModelParams, dt: float) -> Circuit:
-    """One symmetric second-order step: half phases, interaction, half phases."""
-    return _step_with_rows(p, 2, dt)[0]
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    pre_gates, pre_rows = _phase_block(p, dt, scale=1.0 if order == 1 else 0.5)
+    int_gates, int_rows = _interaction_block(p, dt)
+    post_gates, post_rows = _phase_block(p, dt, scale=0.5, reverse=True) if order == 2 else ([], [])
+    label = "first-order step" if order == 1 else "second-order step"
+    circuit = Circuit(TOTAL_QUBITS, tuple(pre_gates + int_gates + post_gates), label=label)
+    return circuit, tuple(pre_rows + int_rows + post_rows)
 
 
 def build_step(p: ModelParams, order: int, dt: float) -> Circuit:
+    """One product-formula step of length `dt` on the 4-qubit register.
+
+    Order 1: phase block then interaction block.  Order 2: the symmetric
+    step, half phases, interaction, half phases.  A negative `dt` yields the
+    exact inverse step.
+    """
     return _step_with_rows(p, order, dt)[0]
 
 

@@ -3,11 +3,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from jcsim.circuits import run_circuit
 from jcsim.cli import main
-from jcsim.models import DEFAULT_COUPLING
+from jcsim.encoding import leakage_probability
+from jcsim.linalg import basis_state, sample_measurements
+from jcsim.models import DEFAULT_COUPLING, ModelParams, populations
+from jcsim.trotter import build_step, compose_steps, prepare_initial_state, strip_ancilla
 
 G = DEFAULT_COUPLING
 
@@ -183,6 +188,66 @@ def test_populations_conserve_probability_and_leakage(runner):
     assert min(data["P_e"]) < 0.99
 
 
+START_STATES = [
+    (atom, fock, theta) for atom in ("g", "e", "f") for fock, theta in ((0, None), (1, None), (0, 0.4))
+]
+
+
+def _start_args(atom, fock, theta):
+    args = ["--atom", atom, "--fock", str(fock)]
+    return args + (["--theta-f", str(theta)] if theta is not None else [])
+
+
+def _gate_level_reference(metadata, atom, fock, theta):
+    """The run's prepare and step circuits, rebuilt from its metadata."""
+    params = metadata["params"]
+    p = ModelParams(omega_f=params["omega_f"], omega_levels=params["omega_levels"],
+                    g_couplings=params["g_couplings"])
+    plan = metadata["plan"]
+    step = build_step(p, plan["order"], plan["dt"])
+    return prepare_initial_state(atom, fock_n=fock, theta_f=theta), step
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("atom,fock,theta", START_STATES)
+def test_populations_match_gate_by_gate_simulation(runner, order, atom, fock, theta):
+    steps = 25
+    result = invoke(runner, ["populations", "--order", str(order), "--steps", str(steps),
+                             "--coupling-ef", str(1.7 * G), "--format", "json",
+                             *_start_args(atom, fock, theta)])
+    assert result.exit_code == 0, result.output
+    payload = json_payload(result)
+    prep, step = _gate_level_reference(payload["metadata"], atom, fock, theta)
+    state = run_circuit(prep, basis_state(0, 4))
+    expected = {"P_g": [], "P_e": [], "P_f": [], "leakage": []}
+    for k in range(steps + 1):
+        if k:
+            state = run_circuit(step, state)
+        system = strip_ancilla(state)
+        for level, value in populations(system).items():
+            expected[f"P_{level}"].append(value)
+        expected["leakage"].append(leakage_probability(system))
+    data = payload["data"]
+    assert data["t"] == pytest.approx([k * payload["metadata"]["plan"]["dt"] for k in range(steps + 1)],
+                                      rel=1e-15)
+    for name, values in expected.items():
+        assert np.max(np.abs(np.array(data[name]) - values)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("atom,fock,theta", START_STATES)
+def test_sample_matches_gate_by_gate_simulation(runner, order, atom, fock, theta):
+    steps, shots, seed = 25, 4096, 5
+    result = invoke(runner, ["sample", "--order", str(order), "--steps", str(steps),
+                             "--shots", str(shots), "--seed", str(seed), "--coupling-ef", str(1.7 * G),
+                             "--format", "json", *_start_args(atom, fock, theta)])
+    assert result.exit_code == 0, result.output
+    payload = json_payload(result)
+    prep, step = _gate_level_reference(payload["metadata"], atom, fock, theta)
+    system = strip_ancilla(run_circuit(prep.extended(compose_steps(step, steps)), basis_state(0, 4)))
+    assert payload["data"] == sample_measurements(system, shots, seed).to_json_dict()
+
+
 def test_populations_metadata_carries_plan(runner):
     result = invoke(runner, ["populations", "--steps", "2", "--format", "json"])
     plan = json_payload(result)["metadata"]["plan"]
@@ -282,11 +347,38 @@ def test_sample_readout_flip_statistics(runner):
     assert abs(counts["000"] - shots * survive) < 5 * sigma
 
 
-def test_validation_failures_exit_one(runner):
+def test_validation_failures_exit_one(runner, tmp_path):
     assert invoke(runner, ["rabi", "--t-max", "-1"]).exit_code == 1
     assert invoke(runner, ["populations", "--dt", "-0.1"]).exit_code == 1
     assert invoke(runner, ["sample", "--theta-f", "0.8"]).exit_code == 1
     assert invoke(runner, ["populations", "--coupling", "0"]).exit_code == 1
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    bad_order = tmp_path / "bad_order.json"
+    bad_order.write_text(json.dumps({"fidelity": {"ibm_fez": {"first": 0.9}}}))
+    rejected = [
+        ["populations", "--phase-budget", "5"],
+        ["populations", "--dt", "nan"],
+        ["populations", "--dt", "inf"],
+        ["sample", "--phase-budget", "5"],
+        ["sample", "--dt", "nan"],
+        ["fidelity", "--expect", str(malformed)],
+        ["fidelity", "--expect", str(bad_order)],
+        ["rabi", "--points", "3", "--out", str(tmp_path / "missing" / "x.csv")],
+        ["rabi", "--t-max", "nan"],
+        ["entropy", "--t-max", "nan"],
+        ["lambda", "--t-max", "nan"],
+        ["lambda", "--t-max", "inf"],
+        ["lambda", "--initial", "nan,0,0"],
+        ["lambda", "--initial", "1,inf,0"],
+    ]
+    for args in rejected:
+        result = invoke(runner, args)
+        assert result.exit_code == 1, (args, result.output)
+        assert isinstance(result.exception, SystemExit), (args, result.exception)
+        assert "nan" not in result.stdout.lower(), args
+        assert "Traceback" not in result.output, args
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")], args
 
 
 def test_out_writes_file_and_keeps_stdout_clean(runner, tmp_path):

@@ -162,6 +162,13 @@ def test_apply_operator_matches_embedding_oracle():
         expected = embed_operator(u, targets, n) @ state
         got = apply_operator(state, u, targets)
         assert np.max(np.abs(got - expected)) < 1e-12, (n, targets)
+        # a trailing batch axis is carried along: each column is one state
+        batch = np.stack([random_state(rng, n) for _ in range(3)], axis=1)
+        got_batch = apply_operator(batch, u, targets)
+        assert got_batch.shape == batch.shape
+        for col in range(batch.shape[1]):
+            column = apply_operator(batch[:, col], u, targets)
+            assert np.max(np.abs(got_batch[:, col] - column)) < 1e-12, (n, targets, col)
 
 
 def test_apply_operator_reading_order_on_reversed_targets():

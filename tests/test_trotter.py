@@ -23,8 +23,6 @@ from jcsim.trotter import (
     DEFAULT_PHASE_BUDGET,
     TOTAL_QUBITS,
     TrotterPlan,
-    build_first_order_step,
-    build_second_order_step,
     build_step,
     choose_dt,
     compose_steps,
@@ -119,7 +117,7 @@ def test_step_angle_table_matches_emitted_rotations():
 
 
 def test_first_order_step_gate_census():
-    circuit = build_first_order_step(ModelParams(), choose_dt(G))
+    circuit = build_step(ModelParams(), 1, choose_dt(G))
     kinds = [g.kind for g in circuit.gates]
     assert kinds.count("RZ") == 4       # three Z terms + the ZZ core
     assert kinds.count("CX") == 2 + 4   # ZZ conjugation + two exchange folds
@@ -144,8 +142,8 @@ def test_second_order_step_is_time_symmetric():
     # (the idle ancilla-|1> sector is unconstrained and does not matter)
     p = ModelParams()
     dt = choose_dt(G)
-    forward = step_system_unitary(build_second_order_step(p, dt))
-    backward = step_system_unitary(build_second_order_step(p, -dt))
+    forward = step_system_unitary(build_step(p, 2, dt))
+    backward = step_system_unitary(build_step(p, 2, -dt))
     assert np.max(np.abs(forward @ backward - np.eye(8))) < 1e-11
 
 
@@ -314,7 +312,7 @@ def test_step_system_unitary_rejects_ancilla_coupling():
 
 
 def test_compose_steps_repeats_gates():
-    step = build_first_order_step(ModelParams(), choose_dt(G))
+    step = build_step(ModelParams(), 1, choose_dt(G))
     triple = compose_steps(step, 3)
     assert len(triple) == 3 * len(step)
     assert len(compose_steps(step, 0)) == 0
