@@ -31,6 +31,7 @@ from .models import (
     build_three_level_hamiltonian,
     coherent_state,
     entropy_trajectory,
+    exact_jc2_amplitudes,
     exact_three_level_evolution,
     excitation_expectation,
     lambda_dark_state,

@@ -28,12 +28,11 @@ from .models import (
     ModelParams,
     Trajectory,
     analytic_jc2_amplitudes,
-    build_jc2_hamiltonian,
     entropy_trajectory,
-    jc2_basis_index,
+    exact_jc2_amplitudes,
+    lambda_fastest_drive,
     lambda_integrate,
     populations,
-    _exact_states,
 )
 from .encoding import leakage_probability
 from .noise import (
@@ -175,9 +174,10 @@ def _step_options(f):
     f = click.option("--order", type=click.IntRange(1, 2), default=1, show_default=True,
                      help="Product-formula order.")(f)
     f = click.option("--dt", type=float, default=None,
-                     help="Step length in seconds [default: phase budget / coupling].")(f)
+                     help="Step length in seconds [default: phase budget / largest coupling].")(f)
     f = click.option("--phase-budget", type=float, default=DEFAULT_PHASE_BUDGET, show_default=True,
-                     help="Per-step exchange phase g*dt (rad) used when --dt is absent.")(f)
+                     help="Largest per-step exchange phase g*dt (rad) over both couplings, "
+                          "used when --dt is absent.")(f)
     f = click.option("--steps", type=click.IntRange(min=0), default=DEFAULT_STEPS, show_default=True,
                      help="Number of steps.")(f)
     return f
@@ -219,21 +219,10 @@ def rabi(photon_n, t_max, points, exact, coupling, coupling_ef, omega_f, omega_e
     amps = np.array([analytic_jc2_amplitudes(g, photon_n, t) for t in times])
     columns = {"P_e": np.abs(amps[:, 0]) ** 2, "P_g": np.abs(amps[:, 1]) ** 2}
     if exact:
-        # closed form lives in the frame with vanishing bare energies
-        p_frame = p.with_(omega_f=0.0, omega_levels={"g": 0.0, "e": 0.0, "f": 0.0},
-                          n_max=photon_n + 1)
-        h = build_jc2_hamiltonian(p_frame)
-        psi0 = np.zeros(2 * (photon_n + 2), dtype=complex)
-        psi0[jc2_basis_index(photon_n, True, photon_n + 1)] = 1.0
-        states = _exact_states(h, psi0, times)
-        idx_e = jc2_basis_index(photon_n, True, photon_n + 1)
-        idx_g = jc2_basis_index(photon_n + 1, False, photon_n + 1)
-        columns["P_e_exact"] = np.abs(states[idx_e, :]) ** 2
-        columns["P_g_exact"] = np.abs(states[idx_g, :]) ** 2
-        worst = max(
-            float(np.max(np.abs(states[idx_e, :] - amps[:, 0]))),
-            float(np.max(np.abs(states[idx_g, :] - amps[:, 1]))),
-        )
+        exact_amps = exact_jc2_amplitudes(g, photon_n, times)
+        columns["P_e_exact"] = np.abs(exact_amps[:, 0]) ** 2
+        columns["P_g_exact"] = np.abs(exact_amps[:, 1]) ** 2
+        worst = float(np.max(np.abs(exact_amps - amps)))
     trajectory = Trajectory(times=_scaled_times(times, time_unit, g), columns=columns)
     metadata = {
         "command": "rabi", "version": __version__, "params": _params_metadata(p),
@@ -288,14 +277,14 @@ def entropy(nbar, n_max, t_max, points, entropy_unit, coupling, coupling_ef, ome
 @click.option("--initial", default="1,0,0", show_default=True,
               help="Comma-separated complex amplitudes c1,c2,c3 (normalized on input).")
 @click.option("--t-max", type=float, default=None,
-              help="Window end in seconds [default: 20pi/max(drive)].")
+              help="Window end in seconds [default: 20pi/max(drive); needed when both drives are 0].")
 @click.option("--points", type=click.IntRange(min=2), default=200, show_default=True)
 @_time_options
 @_output_options
 def lambda_cmd(omega_p, omega_c, initial, t_max, points, time_unit, out, fmt) -> None:
     """Populations of the driven Lambda configuration (fixed-step RK4)."""
-    if omega_p < 0 or omega_c < 0:
-        raise click.ClickException("drive frequencies must be >= 0")
+    if not (0 <= omega_p < math.inf and 0 <= omega_c < math.inf):
+        raise click.ClickException("drive frequencies must be finite and >= 0")
     try:
         c0 = np.array([complex(part) for part in initial.split(",")], dtype=complex)
     except ValueError as exc:
@@ -308,8 +297,10 @@ def lambda_cmd(omega_p, omega_c, initial, t_max, points, time_unit, out, fmt) ->
     if norm == 0:
         raise click.ClickException("--initial must be non-zero")
     c0 = c0 / norm
-    fastest = max(omega_p, omega_c, 1e-30)
-    horizon = _horizon(t_max, 20.0 * math.pi / fastest)
+    fastest = lambda_fastest_drive(omega_p, omega_c)
+    if t_max is None and fastest == 0:
+        raise click.ClickException("both drives are 0, so there is no default window; pass --t-max")
+    horizon = _horizon(t_max, 20.0 * math.pi / fastest if fastest > 0 else 0.0)
     p = ModelParams(omega_p=omega_p, omega_c=omega_c)
     times = np.linspace(0.0, horizon, points)
     trajectory = lambda_integrate(p, c0, times)
@@ -365,11 +356,11 @@ def trotter_compare(budgets, coupling, coupling_ef, omega_f, omega_e, omega_uppe
     }
     _write_payload(out, fmt, metadata, csv_text=csv_text, json_data=json_data)
     for order, (target, tolerance) in SLOPE_TARGETS.items():
-        if abs(slopes[order] - target) > tolerance:
+        if not (abs(slopes[order] - target) <= tolerance):
             _fail_threshold(
                 f"order-{order} slope {slopes[order]:.3f} outside {target} +/- {tolerance}"
             )
-    if np.any(errors[2] >= errors[1]):
+    if not np.all(errors[2] < errors[1]):
         _fail_threshold("second-order error is not smaller at every grid point")
 
 
@@ -381,7 +372,7 @@ def _compiled_evolution(p: ModelParams, atom: str, fock: int, theta_f: float | N
     the ancilla's return to |0> checked for every column, so the evolution
     is a chain of 8x8 matrix products.
     """
-    step_dt = dt if dt is not None else choose_dt(p.g_couplings["ge"], phase_budget)
+    step_dt = dt if dt is not None else choose_dt(max(p.g_couplings.values()), phase_budget)
     if not 0 < step_dt < math.inf:
         raise click.ClickException("--dt must be positive and finite")
     prep = prepare_initial_state(atom, fock_n=fock, theta_f=theta_f)
@@ -401,6 +392,8 @@ def _compiled_evolution(p: ModelParams, atom: str, fock: int, theta_f: float | N
 def populations_cmd(max_pf, atom, fock, theta_f, order, dt, phase_budget, steps, coupling,
                     coupling_ef, omega_f, omega_e, omega_upper, time_unit, out, fmt) -> None:
     """Level populations and leakage along the digitized evolution."""
+    if max_pf is not None and not math.isfinite(max_pf):
+        raise click.ClickException("--max-pf must be finite")
     p = _build_params(coupling, coupling_ef, omega_f, omega_e, omega_upper)
     g = p.g_couplings["ge"]
     step_dt, state, u8 = _compiled_evolution(p, atom, fock, theta_f, order, dt, phase_budget)
@@ -420,9 +413,9 @@ def populations_cmd(max_pf, atom, fock, theta_f, order, dt, phase_budget, steps,
     }
     _write_payload(out, fmt, metadata, trajectory=trajectory)
     worst_leak = float(columns["leakage"].max())
-    if worst_leak > 1e-10:
+    if not (worst_leak <= 1e-10):
         _fail_threshold(f"leakage {worst_leak:.3e} exceeds 1e-10")
-    if max_pf is not None and float(columns["P_f"].max()) > max_pf:
+    if max_pf is not None and not (float(columns["P_f"].max()) <= max_pf):
         _fail_threshold(f"P_f reaches {columns['P_f'].max():.3e} above --max-pf {max_pf}")
 
 

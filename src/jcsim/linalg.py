@@ -100,14 +100,16 @@ def apply_operator(state: np.ndarray, u: np.ndarray, targets: tuple[int, ...]) -
     return out.reshape(state.shape)
 
 
-def _validate_density_matrix(rho: np.ndarray, trace_tol: float, psd_tol: float) -> None:
+def _validate_density_matrix(rho: np.ndarray, trace_tol: float, psd_tol: float) -> np.ndarray:
+    """Eigenvalues of `rho`, after checking it is Hermitian, of unit trace and PSD."""
     if not is_hermitian(rho, tol=1e-10):
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > trace_tol:
         raise ValueError("density matrix trace must be 1")
     w = np.linalg.eigvalsh(rho)
     if w.min() < -psd_tol:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+    return w
 
 
 def _as_density(rho_or_state: np.ndarray, trace_tol: float = 1e-10, psd_tol: float = 1e-10) -> np.ndarray:
@@ -168,15 +170,7 @@ def von_neumann_entropy(rho: np.ndarray, negative_tol: float = 1e-9) -> float:
     Eigenvalues in [-negative_tol, 0) are clamped to 0; anything lower is a
     genuinely invalid density matrix and raises.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, tol=1e-10):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError("density matrix trace must be 1")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -negative_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
+    w = _validate_density_matrix(np.asarray(rho, dtype=complex), 1e-9, negative_tol)
     w = w[w > 0.0]
     # an eigenvalue a rounding error above 1 would give a tiny negative sum
     return max(0.0, float(-np.sum(w * np.log(w))))

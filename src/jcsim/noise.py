@@ -255,23 +255,7 @@ COMPARISON_HEADER = "backend,order,n_1q,n_2q,n_meas,E_S,E_T,E_M,F"
 
 def comparison_table_csv(rows: list[ComparisonRow]) -> str:
     lines = [COMPARISON_HEADER]
-    for row in rows:
-        b = row.budget
-        lines.append(
-            ",".join(
-                [
-                    row.backend,
-                    str(row.order),
-                    str(b.n_1q),
-                    str(b.n_2q),
-                    str(b.n_meas),
-                    repr(b.e_s),
-                    repr(b.e_t),
-                    repr(b.e_m),
-                    repr(row.fidelity),
-                ]
-            )
-        )
+    lines.extend(",".join(str(v) for v in row.values()) for row in comparison_table_json(rows))
     return "\n".join(lines) + "\n"
 
 

@@ -371,6 +371,10 @@ def test_validation_failures_exit_one(runner, tmp_path):
         ["lambda", "--t-max", "inf"],
         ["lambda", "--initial", "nan,0,0"],
         ["lambda", "--initial", "1,inf,0"],
+        ["populations", "--max-pf", "nan"],
+        ["lambda", "--omega-p", "0", "--omega-c", "0"],
+        ["lambda", "--omega-p", "nan"],
+        ["lambda", "--omega-c", "inf"],
     ]
     for args in rejected:
         result = invoke(runner, args)
@@ -379,6 +383,21 @@ def test_validation_failures_exit_one(runner, tmp_path):
         assert "nan" not in result.stdout.lower(), args
         assert "Traceback" not in result.output, args
         assert [line for line in result.output.splitlines() if line.startswith("Error:")], args
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_default_dt_keeps_every_exchange_within_the_phase_budget(runner, order):
+    budget = 0.15
+    result = invoke(runner, ["populations", "--coupling-ef", "5e6", "--steps", "3",
+                             "--order", str(order), "--phase-budget", str(budget),
+                             "--format", "json"])
+    assert result.exit_code == 0, result.output
+    plan = json_payload(result)["metadata"]["plan"]
+    exchanges = [row for row in plan["angle_table"] if row["term"].startswith("exchange")]
+    assert len(exchanges) == 2
+    for row in exchanges:
+        # one rounding of budget / g is allowed
+        assert abs(row["coefficient"]) * plan["dt"] <= budget * (1 + 1e-12), row
 
 
 def test_out_writes_file_and_keeps_stdout_clean(runner, tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from jcsim.encoding import INVALID_BASIS_INDICES
-from jcsim.linalg import basis_state, hermitian_expm, partial_trace_factors
+from jcsim.linalg import basis_state, hermitian_expm, partial_trace_factors, von_neumann_entropy
 from jcsim.models import (
     DEFAULT_COUPLING,
     TAU,
@@ -22,11 +22,13 @@ from jcsim.models import (
     build_three_level_hamiltonian,
     coherent_state,
     entropy_trajectory,
+    exact_jc2_amplitudes,
     exact_three_level_evolution,
     excitation_expectation,
     jc2_basis_index,
     jc2_number_operator,
     lambda_dark_state,
+    lambda_fastest_drive,
     lambda_integrate,
     lambda_rhs_matrix,
     lambda_step_size,
@@ -176,6 +178,16 @@ def test_analytic_amplitudes_match_exact_propagator():
     assert abs(psi_t[jc2_basis_index(n + 1, False, n + 1)] - c_g) < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 3, 50])
+def test_exact_jc2_amplitudes_match_closed_form(n):
+    g = DEFAULT_COUPLING
+    times = np.linspace(0.0, 12.0 / g, 301)
+    exact = exact_jc2_amplitudes(g, n, times)
+    closed = np.array([analytic_jc2_amplitudes(g, n, t) for t in times])
+    assert exact.shape == (times.size, 2)
+    assert np.max(np.abs(exact - closed)) < 1e-12
+
+
 def test_reduced_atom_density_matches_partial_trace():
     g = DEFAULT_COUPLING
     n = 0
@@ -235,6 +247,19 @@ def test_entropy_trajectory_vacuum_matches_binary_entropy():
             if q > 0:
                 expected -= q * math.log(q)
         assert abs(s - expected) < 1e-8
+
+
+def test_entropy_trajectory_matches_pointwise_partial_trace():
+    p = ModelParams(nbar=2.0, n_max=20)
+    times = np.linspace(0.0, 8.0 / DEFAULT_COUPLING, 57)
+    psi0 = np.kron(coherent_state(p.nbar, p.n_max), [1.0, 0.0])
+    w, v = np.linalg.eigh(build_jc2_hamiltonian(p))
+    expected = []
+    for t in times:
+        psi_t = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+        expected.append(von_neumann_entropy(partial_trace_factors(psi_t, [p.n_max + 1, 2], keep=[1])))
+    got = entropy_trajectory(p, times).columns["entropy_nats"]
+    assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
 # -- three-level model ----------------------------------------------------------------
@@ -331,6 +356,35 @@ def test_lambda_step_size_resolves_fastest_drive():
     assert lambda_step_size(100.0, 50.0, 10.0) == pytest.approx(0.0001)
     # short spans are still cut into >= 1000 pieces
     assert lambda_step_size(1.0, 1.0, 0.5) == pytest.approx(0.0005)
+
+
+def test_lambda_step_size_without_drive_cuts_the_span():
+    assert lambda_fastest_drive(3.0, 5.0) == 5.0
+    assert lambda_step_size(0.0, 0.0, 2.0) == pytest.approx(0.002)
+
+
+def test_lambda_integrate_matches_stagewise_rk4_on_uneven_grid():
+    omega_p, omega_c = DEFAULT_COUPLING, 0.45 * DEFAULT_COUPLING
+    p = ModelParams(omega_p=omega_p, omega_c=omega_c)
+    k_matrix = lambda_rhs_matrix(omega_p, omega_c)
+    times = np.array([0.0, 0.3, 0.31, 1.2, 1.25, 4.0, 4.7, 9.9]) / DEFAULT_COUPLING
+    c0 = np.array([0.6, 0.8j, 0.0])
+    h_max = lambda_step_size(omega_p, omega_c, float(times[-1]))
+    c = c0.astype(complex)
+    expected = [np.abs(c) ** 2]
+    for span in np.diff(times):
+        steps = max(1, math.ceil(span / h_max))
+        h = span / steps
+        for _ in range(steps):
+            k1 = k_matrix @ c
+            k2 = k_matrix @ (c + 0.5 * h * k1)
+            k3 = k_matrix @ (c + 0.5 * h * k2)
+            k4 = k_matrix @ (c + h * k3)
+            c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        expected.append(np.abs(c) ** 2)
+    traj = lambda_integrate(p, c0, times)
+    got = np.array([traj.columns["P1"], traj.columns["P2"], traj.columns["P3"]]).T
+    assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
 def test_lambda_norm_is_conserved():
