@@ -216,12 +216,11 @@ def rabi(photon_n, t_max, points, exact, coupling, coupling_ef, omega_f, omega_e
     g = p.g_couplings["ge"]
     horizon = _horizon(t_max, 10.0 / g)
     times = np.linspace(0.0, horizon, points)
-    amps = np.array([analytic_jc2_amplitudes(g, photon_n, t) for t in times])
+    amps = np.column_stack(analytic_jc2_amplitudes(g, photon_n, times))
     columns = {"P_e": np.abs(amps[:, 0]) ** 2, "P_g": np.abs(amps[:, 1]) ** 2}
     if exact:
         exact_amps = exact_jc2_amplitudes(g, photon_n, times)
-        columns["P_e_exact"] = np.abs(exact_amps[:, 0]) ** 2
-        columns["P_g_exact"] = np.abs(exact_amps[:, 1]) ** 2
+        columns["P_e_exact"], columns["P_g_exact"] = np.abs(exact_amps.T) ** 2
         worst = float(np.max(np.abs(exact_amps - amps)))
     trajectory = Trajectory(times=_scaled_times(times, time_unit, g), columns=columns)
     metadata = {
@@ -291,12 +290,11 @@ def lambda_cmd(omega_p, omega_c, initial, t_max, points, time_unit, out, fmt) ->
         raise click.ClickException(f"cannot parse --initial {initial!r}: {exc}") from exc
     if c0.shape != (3,):
         raise click.ClickException("--initial needs exactly three amplitudes")
-    if not np.all(np.isfinite(c0)):
-        raise click.ClickException("--initial amplitudes must be finite")
-    norm = np.linalg.norm(c0)
-    if norm == 0:
-        raise click.ClickException("--initial must be non-zero")
-    c0 = c0 / norm
+    largest = np.max(np.abs(c0))
+    if not 0 < largest < math.inf:
+        raise click.ClickException("--initial amplitudes must be finite and not all zero")
+    c0 = c0 / largest  # so the norm below neither under- nor overflows
+    c0 = c0 / np.linalg.norm(c0)
     fastest = lambda_fastest_drive(omega_p, omega_c)
     if t_max is None and fastest == 0:
         raise click.ClickException("both drives are 0, so there is no default window; pass --t-max")
@@ -400,9 +398,9 @@ def populations_cmd(max_pf, atom, fock, theta_f, order, dt, phase_budget, steps,
     states = [state]
     for _ in range(steps):
         states.append(u8 @ states[-1])
-    records = [populations(s) for s in states]
-    columns = {f"P_{level}": np.array([r[level] for r in records]) for level in ("g", "e", "f")}
-    columns["leakage"] = np.array([leakage_probability(s) for s in states])
+    states = np.stack(states, axis=1)
+    columns = {f"P_{level}": values for level, values in populations(states).items()}
+    columns["leakage"] = leakage_probability(states)
     plan = trotter_plan(p, order, step_dt, steps)
     times = step_dt * np.arange(steps + 1)
     trajectory = Trajectory(times=_scaled_times(times, time_unit, g), columns=columns)
@@ -493,8 +491,7 @@ def sample(shots, seed, readout_flip, atom, fock, theta_f, order, dt, phase_budg
     resolved_seed = _resolve_seed(seed)
     system = np.linalg.matrix_power(u8, steps) @ start8
     histogram = sample_measurements(system, shots, resolved_seed)
-    if readout_flip > 0.0:
-        histogram = apply_readout_error(histogram, readout_flip, resolved_seed + 1)
+    histogram = apply_readout_error(histogram, readout_flip, resolved_seed + 1)
     plan = trotter_plan(p, order, step_dt, steps)
     metadata = {
         "command": "sample", "version": __version__, "params": _params_metadata(p),

@@ -57,9 +57,10 @@ def decode_basis(index: int) -> BasisLabel | None:
     return None
 
 
-def leakage_probability(state: np.ndarray) -> float:
-    """Population outside the physical encoding of a 3-qubit state."""
+def leakage_probability(state: np.ndarray):
+    """Population outside the physical encoding of a state (8,), or (m,) of a batch (8, m)."""
     state = np.asarray(state, dtype=complex)
-    if state.shape != (8,):
-        raise ValueError("expected a 3-qubit state of dimension 8")
-    return float(sum(abs(state[i]) ** 2 for i in INVALID_BASIS_INDICES))
+    if state.ndim not in (1, 2) or state.shape[0] != 8:
+        raise ValueError("expected a 3-qubit state of dimension 8, or a batch (8, m)")
+    leak = (np.abs(state[list(INVALID_BASIS_INDICES)]) ** 2).sum(axis=0)
+    return float(leak) if state.ndim == 1 else leak

@@ -101,13 +101,14 @@ def apply_operator(state: np.ndarray, u: np.ndarray, targets: tuple[int, ...]) -
 
 
 def _validate_density_matrix(rho: np.ndarray, trace_tol: float, psd_tol: float) -> np.ndarray:
-    """Eigenvalues of `rho`, after checking it is Hermitian, of unit trace and PSD."""
-    if not is_hermitian(rho, tol=1e-10):
+    """Eigenvalues of a (d, d) matrix or (T, d, d) stack; checks each is Hermitian, unit-trace, PSD."""
+    square = rho.ndim in (2, 3) and rho.shape[-1] == rho.shape[-2]
+    if not (square and np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2)), initial=0.0) <= 1e-10):
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if not np.max(np.abs(np.einsum("...ii", rho) - 1.0), initial=0.0) <= trace_tol:
         raise ValueError("density matrix trace must be 1")
     w = np.linalg.eigvalsh(rho)
-    if w.min() < -psd_tol:
+    if np.any(w < -psd_tol):
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
     return w
 
@@ -164,16 +165,16 @@ def partial_trace(rho_or_state: np.ndarray, keep: list[int]) -> np.ndarray:
     return partial_trace_factors(arr, [2] * n, factors)
 
 
-def von_neumann_entropy(rho: np.ndarray, negative_tol: float = 1e-9) -> float:
-    """Entropy -Tr[rho ln rho] in nats.
+def von_neumann_entropy(rho: np.ndarray, negative_tol: float = 1e-9) -> float | np.ndarray:
+    """Entropy -Tr[rho ln rho] in nats of a (d, d) matrix, or (T,) of a (T, d, d) stack.
 
     Eigenvalues in [-negative_tol, 0) are clamped to 0; anything lower is a
     genuinely invalid density matrix and raises.
     """
     w = _validate_density_matrix(np.asarray(rho, dtype=complex), 1e-9, negative_tol)
-    w = w[w > 0.0]
     # an eigenvalue a rounding error above 1 would give a tiny negative sum
-    return max(0.0, float(-np.sum(w * np.log(w))))
+    entropy = np.maximum(-np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1), 0.0)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 @dataclass(frozen=True)

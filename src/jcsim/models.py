@@ -97,8 +97,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a non-empty 1-D array")
+        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+            raise ValueError("times must be a finite, non-empty 1-D array")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         columns = {name: np.asarray(vals, dtype=float) for name, vals in self.columns.items()}
@@ -106,8 +106,10 @@ class Trajectory:
         for name, vals in columns.items():
             if vals.shape != times.shape:
                 raise ValueError(f"column {name!r} length does not match times")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"column {name!r} has non-finite values")
             if name.startswith("P") or name == "leakage":
-                if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
+                if not (-1e-9 <= vals.min() and vals.max() <= 1.0 + 1e-9):
                     raise ValueError(f"probability column {name!r} leaves [0, 1]")
 
     @property
@@ -179,33 +181,30 @@ def rabi_frequency(g: float, n: int) -> float:
     return 2.0 * g * math.sqrt(n + 1)
 
 
-def analytic_jc2_amplitudes(g: float, n: int, t: float) -> tuple[complex, complex]:
+def analytic_jc2_amplitudes(g: float, n: int, t):
     """Closed-form amplitudes (c_e on |e,n>, c_g on |g,n+1>) from c_e(0)=1.
 
+    `t` is a time or an array of times; each amplitude takes its shape.
     Valid in the frame where the bare energies vanish (resonant exchange);
     populations are frame-independent.
     """
     if n < 0:
         raise ValueError("photon number must be >= 0")
-    phase = g * math.sqrt(n + 1) * t
-    return complex(math.cos(phase)), -1j * math.sin(phase)
+    phase = g * math.sqrt(n + 1) * np.asarray(t, dtype=float)
+    return np.cos(phase).astype(complex), -1j * np.sin(phase)
 
 
 def exact_jc2_amplitudes(g: float, n: int, times: np.ndarray) -> np.ndarray:
     """Amplitudes (c_e on |e,n>, c_g on |g,n+1>) from c_e(0)=1, one row per time.
 
-    Exact propagation of the full ladder truncated at n+1 photons, in the
-    frame of `analytic_jc2_amplitudes` (bare energies zero), so the two
-    are independent computations of the same doublet.
+    The excitation number is conserved, so the doublet is an invariant block
+    with generator g sqrt(n+1) sigma_x in the frame of `analytic_jc2_amplitudes`
+    (bare energies zero); it is propagated by eigendecomposition, independently
+    of the closed-form cos/sin.
     """
-    frame = ModelParams(omega_f=0.0, omega_levels={"g": 0.0, "e": 0.0, "f": 0.0},
-                        g_couplings={"ge": g, "ef": 0.0}, n_max=n + 1)
-    idx_e = jc2_basis_index(n, True, n + 1)
-    idx_g = jc2_basis_index(n + 1, False, n + 1)
-    psi0 = np.zeros(2 * (n + 2), dtype=complex)
-    psi0[idx_e] = 1.0
-    states = _exact_states(build_jc2_hamiltonian(frame), psi0, np.asarray(times, dtype=float))
-    return states[[idx_e, idx_g], :].T
+    block = g * math.sqrt(n + 1) * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    start = np.array([1.0, 0.0], dtype=complex)
+    return _exact_states(block, start, np.asarray(times, dtype=float)).T
 
 
 def reduced_atom_density(g: float, n: int, t: float) -> np.ndarray:
@@ -218,10 +217,10 @@ def coherent_state(nbar: float, n_max: int) -> np.ndarray:
     """Truncated coherent field state with mean photon number nbar.
 
     Raises if the truncation drops more than 1e-6 of the Poisson weight,
-    naming the smallest adequate n_max.
+    naming the smallest adequate n_max if it is below n_max + 10**5.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    if not 0 <= nbar < math.inf:
+        raise ValueError("nbar must be finite and >= 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if nbar == 0.0:
@@ -233,19 +232,20 @@ def coherent_state(nbar: float, n_max: int) -> np.ndarray:
     probs = np.exp(log_p)
     weight = probs.sum()
     if weight < 1.0 - 1e-6:
+        # tail terms in log space, so an underflowed term cannot stall the search
         required = n_max
         cumulative = weight
-        term = probs[-1]
-        while cumulative < 1.0 - 1e-6:
+        log_term = log_p[-1]
+        while cumulative < 1.0 - 1e-6 and required < n_max + 10**5:
             required += 1
-            term *= nbar / required
-            cumulative += term
+            log_term += math.log(nbar / required)
+            cumulative += math.exp(log_term)
+        advice = "to at least" if cumulative >= 1.0 - 1e-6 else "beyond"
         raise ValueError(
             f"n_max={n_max} keeps only {weight:.9f} of the coherent-state weight "
-            f"for nbar={nbar}; increase n_max to at least {required}"
+            f"for nbar={nbar}; increase n_max {advice} {required}"
         )
-    amplitudes = np.sqrt(probs / weight).astype(complex)
-    return amplitudes
+    return np.sqrt(probs / weight).astype(complex)
 
 
 def _exact_states(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -261,7 +261,7 @@ def entropy_trajectory(p: ModelParams, times: np.ndarray) -> Trajectory:
 
     Initial state: atom excited, field in `coherent_state(p.nbar, p.n_max)`.
     The reduced 2x2 atomic matrices of the whole grid come from one einsum
-    over the exact state columns.
+    over the exact state columns, and their entropies from one stacked call.
     """
     times = np.asarray(times, dtype=float)
     field_state = coherent_state(p.nbar, p.n_max)
@@ -271,7 +271,7 @@ def entropy_trajectory(p: ModelParams, times: np.ndarray) -> Trajectory:
     # rows of the state columns are (photon n, atom) pairs, field slowest
     states = _exact_states(h, psi0, times).reshape(p.n_max + 1, 2, times.size)
     rho_atom = np.einsum("nat,nbt->tab", states, states.conj())
-    entropy = np.array([von_neumann_entropy(rho) for rho in rho_atom])
+    entropy = von_neumann_entropy(rho_atom)
     return Trajectory(times=times, columns={"entropy_nats": entropy})
 
 
@@ -310,16 +310,14 @@ def three_level_number_operator() -> np.ndarray:
     return op
 
 
-def populations(state: np.ndarray) -> dict[str, float]:
-    """Level populations P_g, P_e, P_f of an encoded 3-qubit state."""
+def populations(state: np.ndarray) -> dict:
+    """Level populations P_g, P_e, P_f (floats) of an encoded state (8,), or (m,) of a batch (8, m)."""
     state = np.asarray(state, dtype=complex)
-    if state.shape != (8,):
-        raise ValueError("expected a 3-qubit encoded state of dimension 8")
-    out = {level: 0.0 for level in encoding.ATOM_LEVELS}
-    for index in encoding.VALID_BASIS_INDICES:
-        label = encoding.decode_basis(index)
-        out[label.atom_level] += float(abs(state[index]) ** 2)
-    return out
+    if state.ndim not in (1, 2) or state.shape[0] != 8:
+        raise ValueError("expected a 3-qubit encoded state of dimension 8, or a batch (8, m)")
+    out = {level: sum(np.abs(state[encoding.encode_basis(encoding.BasisLabel(n, level))]) ** 2 for n in (0, 1))
+           for level in encoding.ATOM_LEVELS}
+    return out if state.ndim == 2 else {level: float(total) for level, total in out.items()}
 
 
 def excitation_expectation(state: np.ndarray) -> float:
@@ -379,6 +377,8 @@ def lambda_integrate(p: ModelParams, c0: np.ndarray, times: np.ndarray) -> Traje
         raise ValueError(f"c0 norm {np.linalg.norm(c)} is not 1")
     k_matrix = lambda_rhs_matrix(p.omega_p, p.omega_c)
     h_max = lambda_step_size(p.omega_p, p.omega_c, float(times[-1]) if times[-1] > 0 else 1.0)
+    if not times[-1] <= h_max * 2.0**53:
+        raise ValueError(f"a {times[-1]} s window needs more than 2**53 RK4 steps of {h_max} s")
     eye = np.eye(3, dtype=complex)
     records = np.empty((3, times.size))
     t_prev = 0.0

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+import jcsim
 from jcsim.circuits import run_circuit
 from jcsim.cli import main
 from jcsim.encoding import leakage_probability
@@ -77,6 +82,14 @@ def test_rabi_zero_crossing_and_crosscheck(runner):
     assert payload["metadata"]["amplitude_crosscheck_max_error"] < 1e-9
 
 
+def test_rabi_crosscheck_at_a_large_photon_number(runner):
+    result = invoke(runner, ["rabi", "--photon-n", "100000", "--points", "50", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json_payload(result)
+    assert payload["metadata"]["amplitude_crosscheck_max_error"] < 1e-9
+    assert np.max(np.abs(np.array(payload["data"]["P_e"]) - payload["data"]["P_e_exact"])) < 1e-9
+
+
 def test_rabi_higher_photon_number_oscillates_faster(runner):
     # first zero of P_e moves to pi / (2 g sqrt(n+1))
     n = 3
@@ -122,6 +135,19 @@ def test_entropy_bits_unit(runner):
     assert max(values) <= 1.0 + 1e-9
 
 
+def test_entropy_with_an_underflowed_poisson_tail_ends_with_one_error_line():
+    # a subprocess, so that a search that never ends fails the test by timeout
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(jcsim.__file__))}
+    result = subprocess.run([sys.executable, "-m", "jcsim.cli", "entropy", "--nbar", "900"],
+                            capture_output=True, text=True, timeout=30, env=env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "Error: n_max=30 keeps only 0.000000000 of the coherent-state weight for nbar=900.0; "
+        "increase n_max to at least 1046"
+    ]
+
+
 def test_entropy_rejects_too_small_truncation(runner):
     result = invoke(runner, ["entropy", "--n-max", "6"])
     assert result.exit_code == 1
@@ -137,6 +163,16 @@ def test_lambda_dark_state_stays_dark(runner):
     assert result.exit_code == 0
     payload = json_payload(result)
     assert max(payload["data"]["P3"]) < 1e-10
+
+
+@pytest.mark.parametrize("scaled,plain", [("1e-170,0,0", "1,0,0"), ("1e300,1e300,0", "1,1,0")])
+def test_lambda_initial_amplitudes_are_scale_free(runner, scaled, plain):
+    runs = [invoke(runner, ["lambda", "--initial", amps, "--points", "20", "--format", "json"])
+            for amps in (scaled, plain)]
+    assert [r.exit_code for r in runs] == [0, 0], runs[0].output
+    first, second = (json_payload(r) for r in runs)
+    assert first["data"] == second["data"]
+    assert first["metadata"]["initial"] == second["metadata"]["initial"]
 
 
 def test_lambda_rejects_bad_initial(runner):
@@ -375,6 +411,11 @@ def test_validation_failures_exit_one(runner, tmp_path):
         ["lambda", "--omega-p", "0", "--omega-c", "0"],
         ["lambda", "--omega-p", "nan"],
         ["lambda", "--omega-c", "inf"],
+        ["lambda", "--points", "5", "--t-max", "1e300"],
+        ["lambda", "--omega-c", "1e300", "--t-max", "357740934.0"],
+        ["lambda", "--points", "2", "--t-max", "5e-324"],
+        ["sample", "--readout-flip", "nan"],
+        ["sample", "--readout-flip", "-inf"],
     ]
     for args in rejected:
         result = invoke(runner, args)
@@ -409,3 +450,65 @@ def test_out_writes_file_and_keeps_stdout_clean(runner, tmp_path):
     assert lines[0].startswith("# metadata: ")
     assert lines[1] == "t,P_e,P_g,P_e_exact,P_g_exact"
     assert len(lines) == 5
+
+
+# -- bounded fuzz over every command ---------------------------------------------
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 0.0, -1.0, 0.3, 2.0, G]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+MODEL_FLOAT_OPTIONS = ["--coupling", "--coupling-ef", "--omega-f", "--omega-e", "--omega-upper"]
+FLOAT_OPTIONS = {
+    "rabi": ["--t-max", *MODEL_FLOAT_OPTIONS],
+    "entropy": ["--nbar", "--t-max", *MODEL_FLOAT_OPTIONS],
+    "lambda": ["--omega-p", "--omega-c", "--t-max"],
+    "trotter-compare": MODEL_FLOAT_OPTIONS,
+    "populations": ["--max-pf", "--theta-f", "--dt", "--phase-budget", *MODEL_FLOAT_OPTIONS],
+    "fidelity": [],
+    "sample": ["--readout-flip", "--theta-f", "--dt", "--phase-budget", *MODEL_FLOAT_OPTIONS],
+}
+INT_OPTIONS = {
+    "rabi": {"--points": (2, 50), "--photon-n": (0, 10**6)},
+    "entropy": {"--points": (2, 50), "--n-max": (1, 20)},
+    "lambda": {"--points": (2, 50)},
+    "trotter-compare": {},
+    "populations": {"--steps": (0, 20), "--order": (1, 2), "--fock": (0, 1)},
+    "fidelity": {"--measured-qubits": (0, 8)},
+    "sample": {"--steps": (0, 20), "--shots": (1, 100), "--order": (1, 2), "--seed": (-2, 2**40)},
+}
+LIST_OPTIONS = {"lambda": ("--initial", 3), "trotter-compare": ("--budgets", 4)}
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(ALL_COMMANDS))
+    args = [command, "--format", "json"]
+    for option in FLOAT_OPTIONS[command]:
+        if draw(st.booleans()):
+            args += [option, repr(draw(FLOATS))]
+    for option, (lo, hi) in INT_OPTIONS[command].items():
+        if draw(st.booleans()):
+            args += [option, str(draw(st.integers(lo, hi)))]
+    if command in LIST_OPTIONS and draw(st.booleans()):
+        option, size = LIST_OPTIONS[command]
+        args += [option, ",".join(repr(v) for v in draw(st.lists(FLOATS, min_size=size, max_size=size)))]
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_ends_cleanly_on_any_input(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+    if result.exit_code == 0:
+        assert _all_finite(json.loads(result.stdout)), (args, result.stdout)

@@ -80,3 +80,18 @@ def test_leakage_probability():
     assert abs(leakage_probability(mixed) - 0.3) < 1e-12
     with pytest.raises(ValueError, match="dimension 8"):
         leakage_probability(basis_state(0, 2))
+
+
+def test_leakage_probability_of_a_batch_matches_each_column():
+    rng = np.random.default_rng(11)
+    batch = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    batch /= np.linalg.norm(batch, axis=0)
+    leak = leakage_probability(batch)
+    assert leak.shape == (5,)
+    for j in range(5):
+        single = leakage_probability(batch[:, j])
+        assert isinstance(single, float)
+        assert abs(leak[j] - single) < 1e-15
+    for shape in [(8, 2, 2), (4, 3)]:
+        with pytest.raises(ValueError, match="dimension 8"):
+            leakage_probability(np.zeros(shape, dtype=complex))

@@ -297,6 +297,51 @@ def test_entropy_clamps_tiny_negative_eigenvalues_but_rejects_real_ones():
         von_neumann_entropy(np.diag([1.2, -0.2]).astype(complex))
 
 
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    w = rng.random(dim)
+    u = random_unitary(rng, dim)
+    return (u * (w / w.sum())) @ u.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_entropy_of_a_stack_matches_each_matrix(dim):
+    rng = np.random.default_rng(dim)
+    pure = random_unitary(rng, dim)[:, 0]
+    stack = [random_density(rng, dim) for _ in range(6)]
+    stack += [np.outer(pure, pure.conj()), np.eye(dim) / dim]
+    got = von_neumann_entropy(np.array(stack))
+    assert got.shape == (len(stack),)
+    for rho, value in zip(stack, got):
+        single = von_neumann_entropy(rho)
+        assert isinstance(single, float)
+        assert abs(value - single) < 1e-14
+    assert abs(got[-1] - math.log(dim)) < 1e-12
+    assert abs(got[-2]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.diag([0.7, 0.7]), "trace"),
+        (np.diag([1.2, -0.2]), "negative eigenvalue"),
+    ],
+)
+@pytest.mark.parametrize("position", [0, 3])
+def test_entropy_of_a_stack_rejects_one_invalid_matrix(bad, message, position):
+    rng = np.random.default_rng(5)
+    stack = np.array([random_density(rng, 2) for _ in range(4)])
+    stack[position] = bad
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy(stack)
+
+
+def test_entropy_rejects_wrong_shapes():
+    for shape in [(2,), (2, 3), (3, 2, 3), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="Hermitian"):
+            von_neumann_entropy(np.zeros(shape, dtype=complex))
+
+
 # -- sampling and histograms -----------------------------------------------------
 
 

@@ -6,6 +6,7 @@ three-level Hamiltonian is audited entry by entry against the encoding.
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_trajectory_validation_and_serialization():
         Trajectory(times=[0.0, 1.0], columns={"P_x": [0.0, 1.5]})
 
 
+def test_trajectory_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(times=[0.0, 1.0], columns={"P_x": [0.5, math.nan]})
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(times=[0.0, 1.0], columns={"entropy_nats": [0.0, math.inf]})
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(times=[0.0, math.inf], columns={})
+
+
 def test_trajectory_csv_round_trips_floats_exactly():
     t = Trajectory(times=[0.0, 1e-6], columns={"v": [1.0 / 3.0, 2.0 / 7.0]})
     line = t.to_csv().splitlines()[1]
@@ -188,6 +198,40 @@ def test_exact_jc2_amplitudes_match_closed_form(n):
     assert np.max(np.abs(exact - closed)) < 1e-12
 
 
+def full_ladder_jc2_amplitudes(g: float, n: int, times: np.ndarray) -> np.ndarray:
+    """Oracle: the doublet rows of the full ladder truncated at n+1 photons."""
+    frame = ModelParams(omega_f=0.0, omega_levels={"g": 0.0, "e": 0.0, "f": 0.0},
+                        g_couplings={"ge": g, "ef": 0.0}, n_max=n + 1)
+    idx_e = jc2_basis_index(n, True, n + 1)
+    idx_g = jc2_basis_index(n + 1, False, n + 1)
+    psi0 = np.zeros(2 * (n + 2), dtype=complex)
+    psi0[idx_e] = 1.0
+    w, v = np.linalg.eigh(build_jc2_hamiltonian(frame))
+    states = v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None])
+    return states[[idx_e, idx_g], :].T
+
+
+@pytest.mark.parametrize("n", [0, 3, 50])
+def test_exact_jc2_amplitudes_match_full_ladder(n):
+    g = DEFAULT_COUPLING
+    times = np.linspace(0.0, 12.0 / g, 301)
+    exact = exact_jc2_amplitudes(g, n, times)
+    assert exact.shape == (times.size, 2)
+    assert np.max(np.abs(exact - full_ladder_jc2_amplitudes(g, n, times))) < 1e-12
+
+
+def test_analytic_amplitudes_take_an_array_of_times():
+    g = DEFAULT_COUPLING
+    times = np.linspace(0.0, 12.0 / g, 37)
+    c_e, c_g = analytic_jc2_amplitudes(g, 3, times)
+    assert c_e.shape == c_g.shape == times.shape
+    for t, a_e, a_g in zip(times, c_e, c_g):
+        s_e, s_g = analytic_jc2_amplitudes(g, 3, float(t))
+        assert abs(a_e - s_e) < 1e-15 and abs(a_g - s_g) < 1e-15
+    grid = analytic_jc2_amplitudes(g, 3, times.reshape(37, 1))
+    assert grid[0].shape == (37, 1)
+
+
 def test_reduced_atom_density_matches_partial_trace():
     g = DEFAULT_COUPLING
     n = 0
@@ -220,6 +264,32 @@ def test_coherent_state_vacuum_and_validation():
         coherent_state(4.0, 6)
     with pytest.raises(ValueError, match="nbar"):
         coherent_state(-1.0, 4)
+
+
+@pytest.mark.parametrize("nbar", [900.0, 1e4, 1e5, 1e300])
+def test_coherent_state_search_ends_for_every_finite_nbar(nbar):
+    # the tail term underflows to 0 for these nbar; the search must still end
+    def expire(*_):
+        raise TimeoutError(f"coherent_state({nbar}, 30) ran for more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match="increase n_max"):
+            coherent_state(nbar, 30)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_coherent_state_names_the_truncation_when_found():
+    with pytest.raises(ValueError, match="increase n_max to at least 1046$"):
+        coherent_state(900.0, 30)
+    with pytest.raises(ValueError, match="increase n_max beyond"):
+        coherent_state(1e300, 30)
+    for nbar in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="nbar"):
+            coherent_state(nbar, 30)
 
 
 def test_entropy_trajectory_starts_pure_and_stays_bounded():
@@ -312,6 +382,25 @@ def test_populations_and_excitation():
     assert abs(excitation_expectation(state) - 0.7) < 1e-12
     with pytest.raises(ValueError, match="dimension 8"):
         populations(basis_state(0, 2))
+
+
+def test_populations_of_a_batch_match_each_column():
+    rng = np.random.default_rng(13)
+    batch = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+    batch /= np.linalg.norm(batch, axis=0)
+    pops = populations(batch)
+    assert list(pops) == ["g", "e", "f"]
+    for j in range(6):
+        single = populations(batch[:, j])
+        for level, values in pops.items():
+            assert values.shape == (6,)
+            assert isinstance(single[level], float)
+            assert abs(values[j] - single[level]) < 1e-15
+    total = pops["g"] + pops["e"] + pops["f"] + (np.abs(batch[list(INVALID_BASIS_INDICES)]) ** 2).sum(axis=0)
+    assert np.max(np.abs(total - 1.0)) < 1e-14
+    for shape in [(8, 2, 2), (4, 3)]:
+        with pytest.raises(ValueError, match="dimension 8"):
+            populations(np.zeros(shape, dtype=complex))
 
 
 def test_single_excitation_block_is_sigma_x_exchange():
